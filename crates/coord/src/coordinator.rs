@@ -5,18 +5,26 @@
 //!
 //! # Wire protocol
 //!
-//! Plain-text framing on four endpoints, with checkpoint JSON (the
-//! established on-disk format) as the payload wherever a snapshot
-//! travels — every carried checkpoint embeds the full plan, so each
+//! JSON bodies on every endpoint and in both directions; [`crate::protocol`]
+//! is the one module that encodes and decodes them. Wherever a snapshot
+//! travels it is an `hdc-crawl-checkpoint` document (the established
+//! on-disk format) holding the full plan and exactly one shard, so each
 //! message re-validates the plan fingerprint for free:
 //!
 //! | request | body | response |
 //! |---|---|---|
-//! | `POST /lease` | worker name | `grant <index> <lease> <ttl_ms>` (+ `\n` + partial-snapshot checkpoint JSON), `wait <ms>`, or `drained` |
-//! | `POST /heartbeat` | `<index> <lease>` (+ `\n` + partial checkpoint) | `ok` or `lost` |
-//! | `POST /complete` | `<index> <lease>` + `\n` + complete checkpoint | `ok <new_tuples>` or `lost`; `409 mismatch: …` on plan mismatch |
-//! | `GET /plan` | — | `hdc-coord v1 <ttl_ms> <total> <done>` + one signature per line |
-//! | `GET /checkpoint` | — | accumulated checkpoint JSON |
+//! | `GET /plan` | — | `{"format":"hdc-coord","version":2,"ttl_ms":T,"done":D,"plan":[sig,…]}` |
+//! | `POST /lease` | `{"worker":name}` | `{"grant":{"index":I,"lease":L,"ttl_ms":T}}` (+ `"partial":checkpoint` when salvaging), `{"wait":ms}`, or `{"drained":true}` |
+//! | `POST /heartbeat` | `{"index":I,"lease":L}` (+ `"checkpoint":` a partial snapshot) | `{"held":bool}` |
+//! | `POST /complete` | `{"index":I,"lease":L,"checkpoint":…}` (a complete snapshot) | `{"new":n}` or `{"lost":true}` |
+//! | `GET /checkpoint` | — | the accumulated checkpoint |
+//!
+//! A refused request is answered `{"error":msg}`: 400 for a malformed
+//! body (bad JSON, an index outside the plan, a value outside `u64`, a
+//! heartbeat frontier outside the shard's `1..=resume_points()`, a
+//! replayed completion), 409 `mismatch: …` for a snapshot of another
+//! plan, 500 when the lease state itself fails. Every answer is
+//! `application/json`.
 //!
 //! The coordinator never issues data queries: leases and heartbeats are
 //! pure control traffic, so a wire-leased fleet's charged query cost is
@@ -27,12 +35,13 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use hdc_core::{CancelToken, CrawlCheckpoint, CrawlRepository, JsonFileRepository, ShardSnapshot};
+use hdc_core::{CancelToken, CrawlCheckpoint, CrawlRepository, JsonFileRepository};
 use hdc_net::http::{Request, Response};
 use hdc_net::RouteExt;
 
 use crate::bloom::{DedupStats, TupleDedup};
 use crate::lease::{LeaseDecision, LeaseRepository, MemoryLeaseRepository};
+use crate::protocol::{self, Rejection};
 
 /// How a coordinator came up relative to its persisted checkpoint.
 #[derive(Clone, Debug)]
@@ -104,6 +113,8 @@ pub struct FleetOutcome {
 /// --coordinate` can shut itself down.
 pub struct Coordinator {
     repo: MemoryLeaseRepository,
+    /// The plan's signatures, fixed at construction.
+    plan: Vec<String>,
     persist: Mutex<Option<JsonFileRepository>>,
     seen_path: Option<PathBuf>,
     persist_error: Mutex<Option<String>>,
@@ -131,7 +142,7 @@ impl Coordinator {
                 Err(e) => return Err(e),
             }
         }
-        let mut repo = MemoryLeaseRepository::new(plan, cfg.ttl);
+        let mut repo = MemoryLeaseRepository::new(plan.clone(), cfg.ttl);
         if let Some(d) = dedup {
             repo = repo.with_dedup(d);
         }
@@ -140,27 +151,36 @@ impl Coordinator {
         if let Some(path) = cfg.checkpoint {
             let mut file_repo = JsonFileRepository::new(&path);
             match file_repo.load()? {
-                Some(cp) => match repo.store(&cp) {
-                    Ok(()) => {
-                        restore = Restore::Resumed {
-                            complete: repo.progress().0,
-                        };
-                        persist = Some(file_repo);
+                Some(mut cp) => {
+                    // A partial no peer can resume from would poison the
+                    // salvage slot (the furthest frontier is kept).
+                    cp.shards.retain(|s| {
+                        s.frontier
+                            .is_none_or(|f| protocol::frontier_in_range(&plan, s.index, f))
+                    });
+                    match repo.store(&cp) {
+                        Ok(()) => {
+                            restore = Restore::Resumed {
+                                complete: repo.progress().0,
+                            };
+                            persist = Some(file_repo);
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                            restore = Restore::Mismatch {
+                                message: e.to_string(),
+                            };
+                            // Leave `persist` None: never overwrite a
+                            // checkpoint that belongs to another plan.
+                        }
+                        Err(e) => return Err(e),
                     }
-                    Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                        restore = Restore::Mismatch {
-                            message: e.to_string(),
-                        };
-                        // Leave `persist` None: never overwrite a
-                        // checkpoint that belongs to another plan.
-                    }
-                    Err(e) => return Err(e),
-                },
+                }
                 None => persist = Some(file_repo),
             }
         }
         let coordinator = Coordinator {
             repo,
+            plan,
             persist: Mutex::new(persist),
             seen_path,
             persist_error: Mutex::new(None),
@@ -260,103 +280,55 @@ impl Coordinator {
         }
     }
 
-    /// Parses `<index> <lease>` followed by an optional newline +
-    /// checkpoint JSON; validates any carried snapshot against the
-    /// coordinator's plan.
-    fn parse_verb(&self, body: &[u8]) -> Result<(usize, u64, Option<ShardSnapshot>), Response> {
-        let text = std::str::from_utf8(body)
-            .map_err(|_| text_response(400, "body is not UTF-8".into()))?;
-        let (head, rest) = match text.split_once('\n') {
-            Some((h, r)) => (h, r.trim()),
-            None => (text.trim(), ""),
-        };
-        let mut fields = head.split_whitespace();
-        let (index, lease) = match (
-            fields.next().and_then(|s| s.parse::<usize>().ok()),
-            fields.next().and_then(|s| s.parse::<u64>().ok()),
-        ) {
-            (Some(i), Some(l)) => (i, l),
-            _ => return Err(text_response(400, format!("bad verb line {head:?}"))),
-        };
-        if rest.is_empty() {
-            return Ok((index, lease, None));
-        }
-        let cp = CrawlCheckpoint::from_json(rest)
-            .map_err(|e| text_response(400, format!("bad snapshot payload: {e}")))?;
-        let plan = self.repo.checkpoint().plan;
-        if let Err(e) = cp.verify_plan(&plan) {
-            return Err(text_response(409, format!("mismatch: {e}")));
-        }
-        let mut shards = cp.shards;
-        if shards.len() != 1 {
-            return Err(text_response(
-                400,
-                format!("expected exactly one snapshot, got {}", shards.len()),
-            ));
-        }
-        Ok((index, lease, Some(shards.remove(0))))
-    }
-
     fn lease_response(&self, req: &Request) -> Response {
-        let worker = String::from_utf8_lossy(&req.body).trim().to_string();
-        let name = if worker.is_empty() { "worker" } else { &worker };
-        let mut repo = self.repo.clone();
-        match repo.lease(name) {
-            Ok(LeaseDecision::Grant(g)) => {
-                self.log(format_args!(
-                    "lease {} -> shard {} (lease {}, cursor {:?})",
-                    name,
-                    g.index,
-                    g.lease,
-                    g.partial.as_ref().and_then(|p| p.frontier)
-                ));
-                let mut body = format!("grant {} {} {}\n", g.index, g.lease, g.ttl_ms);
-                if let Some(p) = g.partial {
-                    let mut cp = CrawlCheckpoint::new(self.repo.checkpoint().plan);
-                    cp.shards.push(p);
-                    body.push_str(&cp.to_json());
+        let worker = match protocol::parse_lease_request(&req.body) {
+            Ok(w) => w,
+            Err(r) => return r.into_response(),
+        };
+        match self.repo.clone().lease(&worker) {
+            Ok(decision) => {
+                if let LeaseDecision::Grant(g) = &decision {
+                    self.log(format_args!(
+                        "lease {} -> shard {} (lease {}, cursor {:?})",
+                        worker,
+                        g.index,
+                        g.lease,
+                        g.partial.as_ref().and_then(|p| p.frontier)
+                    ));
                 }
-                text_response(200, body)
+                ok(protocol::lease_answer(&decision, &self.plan))
             }
-            Ok(LeaseDecision::Wait { retry_ms }) => text_response(200, format!("wait {retry_ms}\n")),
-            Ok(LeaseDecision::Drained) => text_response(200, "drained\n".into()),
-            Err(e) => text_response(500, format!("lease failed: {e}")),
+            Err(e) => Rejection::new(500, format!("lease failed: {e}")).into_response(),
         }
     }
 
     fn heartbeat_response(&self, req: &Request) -> Response {
-        let (index, lease, partial) = match self.parse_verb(&req.body) {
+        let (index, lease, partial) = match protocol::parse_heartbeat(&req.body, &self.plan) {
             Ok(v) => v,
-            Err(resp) => return resp,
+            Err(r) => return r.into_response(),
         };
-        if let Some(p) = &partial {
-            if p.is_complete() {
-                return text_response(400, "heartbeat snapshot must be partial".into());
-            }
-        }
         let mut repo = self.repo.clone();
         match repo.heartbeat(index, lease, partial.as_ref()) {
             Ok(true) => {
                 if partial.is_some() {
                     self.persist();
                 }
-                text_response(200, "ok\n".into())
+                ok(protocol::held_answer(true))
             }
             Ok(false) => {
-                self.log(format_args!("heartbeat on lost lease {lease} (shard {index})"));
-                text_response(200, "lost\n".into())
+                self.log(format_args!(
+                    "heartbeat on lost lease {lease} (shard {index})"
+                ));
+                ok(protocol::held_answer(false))
             }
-            Err(e) => text_response(400, format!("heartbeat failed: {e}")),
+            Err(e) => Rejection::bad(format!("heartbeat failed: {e}")).into_response(),
         }
     }
 
     fn complete_response(&self, req: &Request) -> Response {
-        let (index, lease, snapshot) = match self.parse_verb(&req.body) {
+        let (index, lease, snapshot) = match protocol::parse_complete(&req.body, &self.plan) {
             Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        let Some(snapshot) = snapshot else {
-            return text_response(400, "complete requires a snapshot".into());
+            Err(r) => return r.into_response(),
         };
         let mut repo = self.repo.clone();
         match repo.complete(index, lease, snapshot) {
@@ -368,25 +340,14 @@ impl Coordinator {
                     self.log(format_args!("plan drained"));
                     self.drained.cancel();
                 }
-                text_response(200, format!("ok {new}\n"))
+                ok(protocol::complete_answer(Some(new)))
             }
             Ok(None) => {
                 self.log(format_args!("stale completion for shard {index} discarded"));
-                text_response(200, "lost\n".into())
+                ok(protocol::complete_answer(None))
             }
-            Err(e) => text_response(400, format!("complete failed: {e}")),
+            Err(e) => Rejection::bad(format!("complete failed: {e}")).into_response(),
         }
-    }
-
-    fn plan_response(&self) -> Response {
-        let plan = self.repo.checkpoint().plan;
-        let (done, total) = self.repo.progress();
-        let mut body = format!("hdc-coord v1 {} {} {}\n", self.repo.ttl_ms(), total, done);
-        for sig in &plan {
-            body.push_str(sig);
-            body.push('\n');
-        }
-        text_response(200, body)
     }
 }
 
@@ -396,7 +357,11 @@ impl RouteExt for Coordinator {
             ("POST", "/lease") => Some(self.lease_response(req)),
             ("POST", "/heartbeat") => Some(self.heartbeat_response(req)),
             ("POST", "/complete") => Some(self.complete_response(req)),
-            ("GET", "/plan") => Some(self.plan_response()),
+            ("GET", "/plan") => Some(ok(protocol::plan_answer(
+                &self.plan,
+                self.repo.ttl_ms(),
+                self.repo.progress().0,
+            ))),
             ("GET", "/checkpoint") => Some(Response::json(
                 200,
                 self.repo.checkpoint().to_json().into_bytes(),
@@ -406,12 +371,6 @@ impl RouteExt for Coordinator {
     }
 }
 
-/// A plain-text response (the coordination protocol's framing; data
-/// endpoints stay JSON).
-fn text_response(status: u16, body: String) -> Response {
-    Response {
-        status,
-        body: body.into_bytes(),
-        content_type: "text/plain; charset=utf-8",
-    }
+fn ok(body: String) -> Response {
+    Response::json(200, body.into_bytes())
 }

@@ -111,6 +111,9 @@ struct LeaseState {
     next_lease: u64,
     /// Completed shards, plan-indexed. Set exactly once.
     done: Vec<Option<ShardSnapshot>>,
+    /// The lease each shard was completed under, so a replayed
+    /// completion is told apart from a stale one.
+    completed_by: Vec<Option<u64>>,
     /// Live leases by shard index.
     active: HashMap<usize, Active>,
     /// Best partial snapshot salvaged from expired leases, plan-indexed.
@@ -225,6 +228,7 @@ impl MemoryLeaseRepository {
                 ttl,
                 next_lease: 1,
                 done: vec![None; n],
+                completed_by: vec![None; n],
                 active: HashMap::new(),
                 salvage: vec![None; n],
                 dedup: None,
@@ -431,6 +435,12 @@ impl LeaseRepository for MemoryLeaseRepository {
         // deterministic result the plan promises, so accept it. Only a
         // lease that was actually reclaimed (and possibly re-granted)
         // loses its claim.
+        if s.completed_by[index] == Some(lease) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("shard {index} was already completed under lease {lease}"),
+            ));
+        }
         let holds = s.active.get(&index).is_some_and(|a| a.lease == lease);
         if !holds || s.done[index].is_some() {
             return Ok(None);
@@ -439,6 +449,7 @@ impl LeaseRepository for MemoryLeaseRepository {
         s.active.remove(&index);
         s.salvage[index] = None;
         s.done[index] = Some(snapshot);
+        s.completed_by[index] = Some(lease);
         Ok(Some(new))
     }
 }
@@ -533,6 +544,21 @@ mod tests {
             .is_some());
         let (_, expired, salvaged) = repo.fleet_stats();
         assert_eq!((expired, salvaged), (1, 1));
+    }
+
+    #[test]
+    fn replayed_complete_is_an_error_and_counts_once() {
+        let mut repo = MemoryLeaseRepository::new(plan3(), Duration::from_secs(60))
+            .with_dedup(TupleDedup::exact());
+        let g = grant(&mut repo, "w");
+        let snap = snapshot_of_report(g.index, &report(2), None);
+        assert_eq!(
+            repo.complete(g.index, g.lease, snap.clone()).unwrap(),
+            Some(2)
+        );
+        let err = repo.complete(g.index, g.lease, snap).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(repo.fleet_stats().0.new, 2);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 pub mod bloom;
 pub mod coordinator;
 pub mod lease;
+pub mod protocol;
 pub mod wire;
 pub mod worker;
 

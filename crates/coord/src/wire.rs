@@ -14,7 +14,8 @@ use std::time::Duration;
 use hdc_core::{CrawlCheckpoint, CrawlRepository, ShardSnapshot};
 use hdc_net::http;
 
-use crate::lease::{LeaseDecision, LeaseGrant, LeaseRepository};
+use crate::lease::{LeaseDecision, LeaseRepository};
+use crate::protocol;
 
 /// Per-request socket timeout: a coordinator that stalls longer than
 /// this counts as unreachable.
@@ -28,10 +29,6 @@ pub struct WireLeaseRepository {
     addr: String,
     plan: Vec<String>,
     ttl_ms: u64,
-}
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 impl WireLeaseRepository {
@@ -49,27 +46,7 @@ impl WireLeaseRepository {
             ttl_ms: 0,
         };
         let body = client.call("GET", "/plan", b"")?;
-        let mut lines = body.lines();
-        let header = lines.next().unwrap_or("");
-        let fields: Vec<&str> = header.split_whitespace().collect();
-        if fields.len() != 5 || fields[0] != "hdc-coord" || fields[1] != "v1" {
-            return Err(invalid(format!(
-                "not a coordinator (bad /plan header {header:?}) — is the server running with --coordinate?"
-            )));
-        }
-        client.ttl_ms = fields[2]
-            .parse()
-            .map_err(|_| invalid(format!("bad ttl in {header:?}")))?;
-        let total: usize = fields[3]
-            .parse()
-            .map_err(|_| invalid(format!("bad shard count in {header:?}")))?;
-        client.plan = lines.map(str::to_string).collect();
-        if client.plan.len() != total {
-            return Err(invalid(format!(
-                "plan advertised {total} shards but sent {}",
-                client.plan.len()
-            )));
-        }
+        (client.plan, client.ttl_ms) = protocol::parse_plan(&body)?;
         Ok(client)
     }
 
@@ -91,21 +68,16 @@ impl WireLeaseRepository {
         let resp = http::read_response(&mut reader)?;
         let text = String::from_utf8_lossy(&resp.body).into_owned();
         if resp.status / 100 != 2 {
-            return Err(invalid(format!(
-                "coordinator answered {} on {path}: {}",
-                resp.status,
-                text.trim()
-            )));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "coordinator answered {} on {path}: {}",
+                    resp.status,
+                    protocol::error_message(&text)
+                ),
+            ));
         }
         Ok(text)
-    }
-
-    /// A one-snapshot checkpoint payload carrying the full plan (the
-    /// coordinator re-verifies the fingerprint on every message).
-    fn snapshot_payload(&self, snapshot: &ShardSnapshot) -> String {
-        let mut cp = CrawlCheckpoint::new(self.plan.clone());
-        cp.shards.push(snapshot.clone());
-        cp.to_json()
     }
 }
 
@@ -129,51 +101,8 @@ impl LeaseRepository for WireLeaseRepository {
     }
 
     fn lease(&mut self, worker: &str) -> io::Result<LeaseDecision> {
-        let body = self.call("POST", "/lease", worker.as_bytes())?;
-        let (head, rest) = match body.split_once('\n') {
-            Some((h, r)) => (h, r.trim()),
-            None => (body.trim(), ""),
-        };
-        let fields: Vec<&str> = head.split_whitespace().collect();
-        match fields.first().copied() {
-            Some("grant") if fields.len() == 4 => {
-                let index: usize = fields[1]
-                    .parse()
-                    .map_err(|_| invalid(format!("bad grant index {head:?}")))?;
-                let lease: u64 = fields[2]
-                    .parse()
-                    .map_err(|_| invalid(format!("bad grant lease {head:?}")))?;
-                let ttl_ms: u64 = fields[3]
-                    .parse()
-                    .map_err(|_| invalid(format!("bad grant ttl {head:?}")))?;
-                let signature = self
-                    .plan
-                    .get(index)
-                    .cloned()
-                    .ok_or_else(|| invalid(format!("grant index {index} beyond plan")))?;
-                let partial = if rest.is_empty() {
-                    None
-                } else {
-                    let cp = CrawlCheckpoint::from_json(rest)?;
-                    cp.shards.into_iter().next()
-                };
-                Ok(LeaseDecision::Grant(Box::new(LeaseGrant {
-                    index,
-                    signature,
-                    lease,
-                    ttl_ms,
-                    partial,
-                })))
-            }
-            Some("wait") if fields.len() == 2 => {
-                let retry_ms = fields[1]
-                    .parse()
-                    .map_err(|_| invalid(format!("bad wait {head:?}")))?;
-                Ok(LeaseDecision::Wait { retry_ms })
-            }
-            Some("drained") => Ok(LeaseDecision::Drained),
-            _ => Err(invalid(format!("unrecognized lease answer {head:?}"))),
-        }
+        let body = self.call("POST", "/lease", protocol::lease_request(worker).as_bytes())?;
+        protocol::parse_lease_answer(&body, &self.plan)
     }
 
     fn heartbeat(
@@ -182,16 +111,8 @@ impl LeaseRepository for WireLeaseRepository {
         lease: u64,
         partial: Option<&ShardSnapshot>,
     ) -> io::Result<bool> {
-        let mut body = format!("{index} {lease}\n");
-        if let Some(p) = partial {
-            body.push_str(&self.snapshot_payload(p));
-        }
-        let answer = self.call("POST", "/heartbeat", body.as_bytes())?;
-        match answer.trim() {
-            "ok" => Ok(true),
-            "lost" => Ok(false),
-            other => Err(invalid(format!("unrecognized heartbeat answer {other:?}"))),
-        }
+        let body = protocol::report_request(index, lease, &self.plan, partial);
+        protocol::parse_held(&self.call("POST", "/heartbeat", body.as_bytes())?)
     }
 
     fn complete(
@@ -200,15 +121,7 @@ impl LeaseRepository for WireLeaseRepository {
         lease: u64,
         snapshot: ShardSnapshot,
     ) -> io::Result<Option<u64>> {
-        let body = format!("{index} {lease}\n{}", self.snapshot_payload(&snapshot));
-        let answer = self.call("POST", "/complete", body.as_bytes())?;
-        let answer = answer.trim();
-        if answer == "lost" {
-            return Ok(None);
-        }
-        match answer.strip_prefix("ok ").and_then(|n| n.parse().ok()) {
-            Some(new) => Ok(Some(new)),
-            None => Err(invalid(format!("unrecognized complete answer {answer:?}"))),
-        }
+        let body = protocol::report_request(index, lease, &self.plan, Some(&snapshot));
+        protocol::parse_complete_answer(&self.call("POST", "/complete", body.as_bytes())?)
     }
 }

@@ -156,16 +156,20 @@ pub fn drive_worker(
                 // A salvaged partial moves the start line: crawl only
                 // the suffix and merge the prefix back in. If the spec
                 // cannot resume (or the cursor is somehow out of
-                // range), recrawl the whole shard and drop the prefix —
-                // never merge a prefix the crawl also covers.
-                let cursor = g.partial.as_ref().and_then(|p| p.frontier).unwrap_or(0) as usize;
-                let (run_spec, prefix) = if cursor > 0 {
-                    match spec.resume_suffix(cursor) {
-                        Some(suffix) => (suffix, g.partial.as_ref()),
-                        None => (spec.clone(), None),
-                    }
-                } else {
-                    (spec.clone(), None)
+                // range), recrawl the whole shard from cursor 0 and drop
+                // the prefix — never merge a prefix the crawl also
+                // covers, nor bank frontiers counted from a start line
+                // the crawl did not use.
+                let resume = g
+                    .partial
+                    .as_ref()
+                    .and_then(|p| p.frontier)
+                    .and_then(|f| usize::try_from(f).ok())
+                    .filter(|&c| c > 0)
+                    .and_then(|c| Some((c, spec.resume_suffix(c)?)));
+                let (run_spec, prefix, cursor) = match resume {
+                    Some((c, suffix)) => (suffix, g.partial.as_ref(), c as u64),
+                    None => (spec.clone(), None, 0),
                 };
                 if prefix.is_some() {
                     report.shards_resumed += 1;
@@ -189,12 +193,8 @@ pub fn drive_worker(
                         },
                         |done, interim| {
                             *heartbeats += 1;
-                            let banked = merge_snapshot(
-                                g.index,
-                                prefix,
-                                interim,
-                                Some(cursor as u64 + done),
-                            );
+                            let banked =
+                                merge_snapshot(g.index, prefix, interim, Some(cursor + done));
                             match repo.heartbeat(g.index, g.lease, Some(&banked)) {
                                 Ok(true) => {}
                                 Ok(false) => {

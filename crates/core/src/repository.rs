@@ -42,6 +42,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use hdc_types::json::{self, Json};
 use hdc_types::{Tuple, Value};
 
 use crate::report::CrawlMetrics;
@@ -186,14 +187,10 @@ impl CrawlCheckpoint {
         out.push_str("{\"format\": \"hdc-crawl-checkpoint\", \"version\": 1,\n");
         out.push_str(" \"plan\": [");
         for (i, sig) in self.plan.iter().enumerate() {
-            debug_assert!(
-                !sig.contains(['"', '\\']),
-                "shard signatures never need escaping"
-            );
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{sig}\"");
+            out.push_str(&json::quote(sig));
         }
         out.push_str("],\n \"shards\": [");
         for (i, s) in self.shards.iter().enumerate() {
@@ -223,14 +220,7 @@ impl CrawlCheckpoint {
                     if v > 0 {
                         out.push(',');
                     }
-                    match value {
-                        Value::Cat(c) => {
-                            let _ = write!(out, "\"c{c}\"");
-                        }
-                        Value::Int(n) => {
-                            let _ = write!(out, "\"i{n}\"");
-                        }
-                    }
+                    let _ = write!(out, "\"{}\"", value.token());
                 }
                 out.push(']');
             }
@@ -242,19 +232,26 @@ impl CrawlCheckpoint {
 
     /// Parses the `hdc-crawl-checkpoint` JSON format.
     pub fn from_json(text: &str) -> io::Result<Self> {
-        let value = json::parse(text).map_err(invalid)?;
-        let obj = value.as_obj().ok_or_else(|| invalid("top level must be an object"))?;
-        let format = get(obj, "format")?.as_str().ok_or_else(|| invalid("format"))?;
+        Self::from_tree(&json::parse(text).map_err(invalid)?)
+    }
+
+    /// Decodes an already-parsed checkpoint document — the entry point
+    /// for a checkpoint embedded in a larger message, so the message is
+    /// parsed once.
+    pub fn from_tree(doc: &Json) -> io::Result<Self> {
+        let format = field(doc, "format")?
+            .as_str()
+            .ok_or_else(|| invalid("format"))?;
         if format != "hdc-crawl-checkpoint" {
             return Err(invalid(format!("unknown format {format:?}")));
         }
-        let version = get(obj, "version")?.as_int().ok_or_else(|| invalid("version"))?;
+        let version = field(doc, "version")?
+            .as_int()
+            .ok_or_else(|| invalid("version"))?;
         if version != 1 {
             return Err(invalid(format!("unsupported version {version}")));
         }
-        let plan = get(obj, "plan")?
-            .as_arr()
-            .ok_or_else(|| invalid("plan must be an array"))?
+        let plan = array(doc, "plan")?
             .iter()
             .map(|v| {
                 v.as_str()
@@ -262,42 +259,45 @@ impl CrawlCheckpoint {
                     .ok_or_else(|| invalid("plan entries must be strings"))
             })
             .collect::<io::Result<Vec<String>>>()?;
-        let mut shards = Vec::new();
-        for sv in get(obj, "shards")?
-            .as_arr()
-            .ok_or_else(|| invalid("shards must be an array"))?
-        {
-            let s = sv.as_obj().ok_or_else(|| invalid("shard must be an object"))?;
-            let tuples = get(s, "tuples")?
-                .as_arr()
-                .ok_or_else(|| invalid("tuples must be an array"))?
-                .iter()
-                .map(|tv| {
-                    let vals = tv
-                        .as_arr()
-                        .ok_or_else(|| invalid("tuple must be an array"))?
-                        .iter()
-                        .map(|v| {
-                            parse_value(v.as_str().ok_or_else(|| invalid("value token"))?)
-                        })
-                        .collect::<io::Result<Vec<Value>>>()?;
-                    Ok(Tuple::new(vals))
-                })
-                .collect::<io::Result<Vec<Tuple>>>()?;
-            shards.push(ShardSnapshot {
-                index: int_field(s, "index")? as usize,
-                queries: int_field(s, "queries")?,
-                resolved: int_field(s, "resolved")?,
-                overflowed: int_field(s, "overflowed")?,
-                pruned: int_field(s, "pruned")?,
-                // Absent in pre-frontier checkpoints: a complete shard.
-                frontier: opt_int_field(s, "frontier")?,
-                metrics: parse_metrics(get(s, "metrics")?)?,
-                tuples,
-            });
-        }
+        let shards = array(doc, "shards")?
+            .iter()
+            .map(snapshot_from_tree)
+            .collect::<io::Result<Vec<ShardSnapshot>>>()?;
         Ok(CrawlCheckpoint { plan, shards })
     }
+}
+
+fn snapshot_from_tree(s: &Json) -> io::Result<ShardSnapshot> {
+    let tuples = array(s, "tuples")?
+        .iter()
+        .map(|tv| {
+            let vals = tv
+                .as_arr()
+                .ok_or_else(|| invalid("tuple must be an array"))?
+                .iter()
+                .map(|v| {
+                    v.as_str()
+                        .and_then(Value::from_token)
+                        .ok_or_else(|| invalid(format!("bad value token {v:?}")))
+                })
+                .collect::<io::Result<Vec<Value>>>()?;
+            Ok(Tuple::new(vals))
+        })
+        .collect::<io::Result<Vec<Tuple>>>()?;
+    Ok(ShardSnapshot {
+        index: usize::try_from(int_field(s, "index")?).map_err(|_| invalid("index"))?,
+        queries: int_field(s, "queries")?,
+        resolved: int_field(s, "resolved")?,
+        overflowed: int_field(s, "overflowed")?,
+        pruned: int_field(s, "pruned")?,
+        // Absent in pre-frontier checkpoints: a complete shard.
+        frontier: match s.get("frontier") {
+            Some(_) => Some(int_field(s, "frontier")?),
+            None => None,
+        },
+        metrics: parse_metrics(field(s, "metrics")?)?,
+        tuples,
+    })
 }
 
 fn metrics_json(m: &CrawlMetrics) -> String {
@@ -324,63 +324,41 @@ fn metrics_json(m: &CrawlMetrics) -> String {
     )
 }
 
-fn parse_metrics(v: &json::Json) -> io::Result<CrawlMetrics> {
-    let obj = v.as_obj().ok_or_else(|| invalid("metrics must be an object"))?;
+fn parse_metrics(m: &Json) -> io::Result<CrawlMetrics> {
     Ok(CrawlMetrics {
-        two_way_splits: int_field(obj, "two_way_splits")?,
-        three_way_splits: int_field(obj, "three_way_splits")?,
-        slice_fetches: int_field(obj, "slice_fetches")?,
-        slice_overflows: int_field(obj, "slice_overflows")?,
-        local_answers: int_field(obj, "local_answers")?,
-        leaf_subcrawls: int_field(obj, "leaf_subcrawls")?,
-        slice_cache_hits: int_field(obj, "slice_cache_hits")?,
-        barrier_pivots: int_field(obj, "barrier_pivots")?,
-        barrier_deep_tuples: int_field(obj, "barrier_deep_tuples")?,
-        transient_retries: int_field(obj, "transient_retries")?,
+        two_way_splits: int_field(m, "two_way_splits")?,
+        three_way_splits: int_field(m, "three_way_splits")?,
+        slice_fetches: int_field(m, "slice_fetches")?,
+        slice_overflows: int_field(m, "slice_overflows")?,
+        local_answers: int_field(m, "local_answers")?,
+        leaf_subcrawls: int_field(m, "leaf_subcrawls")?,
+        slice_cache_hits: int_field(m, "slice_cache_hits")?,
+        barrier_pivots: int_field(m, "barrier_pivots")?,
+        barrier_deep_tuples: int_field(m, "barrier_deep_tuples")?,
+        transient_retries: int_field(m, "transient_retries")?,
     })
-}
-
-fn parse_value(token: &str) -> io::Result<Value> {
-    let (kind, digits) = token.split_at(usize::from(!token.is_empty()));
-    match kind {
-        "c" => digits
-            .parse::<u32>()
-            .map(Value::Cat)
-            .map_err(|e| invalid(format!("bad categorical token {token:?}: {e}"))),
-        "i" => digits
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|e| invalid(format!("bad numeric token {token:?}: {e}"))),
-        _ => Err(invalid(format!("unknown value token {token:?}"))),
-    }
 }
 
 fn invalid(msg: impl ToString) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-fn get<'a>(obj: &'a [(String, json::Json)], key: &str) -> io::Result<&'a json::Json> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
+/// Object field lookup; a non-object or a missing key is an error.
+fn field<'a>(obj: &'a Json, key: &str) -> io::Result<&'a Json> {
+    obj.get(key)
         .ok_or_else(|| invalid(format!("missing field {key:?}")))
 }
 
-fn int_field(obj: &[(String, json::Json)], key: &str) -> io::Result<u64> {
-    get(obj, key)?
-        .as_int()
-        .and_then(|n| u64::try_from(n).ok())
-        .ok_or_else(|| invalid(format!("field {key:?} must be a non-negative integer")))
+fn array<'a>(obj: &'a Json, key: &str) -> io::Result<&'a [Json]> {
+    field(obj, key)?
+        .as_arr()
+        .ok_or_else(|| invalid(format!("{key} must be an array")))
 }
 
-/// Like [`int_field`] but tolerates a missing key (`None`); a *present*
-/// key must still be a well-formed non-negative integer.
-fn opt_int_field(obj: &[(String, json::Json)], key: &str) -> io::Result<Option<u64>> {
-    if obj.iter().any(|(k, _)| k == key) {
-        int_field(obj, key).map(Some)
-    } else {
-        Ok(None)
-    }
+fn int_field(obj: &Json, key: &str) -> io::Result<u64> {
+    field(obj, key)?
+        .as_u64()
+        .ok_or_else(|| invalid(format!("field {key:?} must be a non-negative integer")))
 }
 
 /// Where a resumable crawl keeps its checkpoint.
@@ -493,174 +471,6 @@ impl CrawlRepository for JsonFileRepository {
     }
 }
 
-/// The minimal JSON reader behind [`CrawlCheckpoint::from_json`] —
-/// integers, strings, arrays, objects; exactly what the checkpoint
-/// format emits. Vendored like the rest of `crates/compat` because this
-/// workspace builds with no registry access.
-mod json {
-    /// A parsed JSON value. Numbers are integers (the format emits
-    /// nothing else) kept at `i128` so every `u64` survives round-trip.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Json {
-        /// An integer.
-        Int(i128),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object, as ordered key/value pairs.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        pub fn as_int(&self) -> Option<i128> {
-            match self {
-                Json::Int(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_arr(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-            match self {
-                Json::Obj(fields) => Some(fields),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while bytes
-            .get(*pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
-        if bytes.get(*pos) == Some(&want) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {pos}", char::from(want)))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(parse_value(bytes, pos)?);
-                    skip_ws(bytes, pos);
-                    match bytes.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    skip_ws(bytes, pos);
-                    let key = parse_string(bytes, pos)?;
-                    skip_ws(bytes, pos);
-                    expect(bytes, pos, b':')?;
-                    fields.push((key, parse_value(bytes, pos)?));
-                    skip_ws(bytes, pos);
-                    match bytes.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => {
-                let start = *pos;
-                if bytes.get(*pos) == Some(&b'-') {
-                    *pos += 1;
-                }
-                while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&bytes[start..*pos])
-                    .ok()
-                    .and_then(|s| s.parse::<i128>().ok())
-                    .map(Json::Int)
-                    .ok_or_else(|| format!("bad number at byte {start}"))
-            }
-            _ => Err(format!("unexpected input at byte {pos}")),
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let start = *pos;
-        while let Some(&b) = bytes.get(*pos) {
-            match b {
-                b'"' => {
-                    let s = std::str::from_utf8(&bytes[start..*pos])
-                        .map_err(|e| e.to_string())?
-                        .to_owned();
-                    *pos += 1;
-                    return Ok(s);
-                }
-                // The checkpoint format never emits escapes; reject
-                // rather than mis-read.
-                b'\\' => return Err(format!("escapes unsupported at byte {pos}")),
-                _ => *pos += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,6 +512,29 @@ mod tests {
         let checkpoint = sample();
         let parsed = CrawlCheckpoint::from_json(&checkpoint.to_json()).unwrap();
         assert_eq!(parsed, checkpoint);
+    }
+
+    /// A file from the version-1 writer as it stood before checkpoints
+    /// moved to the shared JSON codec (a real `plan_oversubscribed` plan,
+    /// complete and partial shards) still loads, and is re-serialized
+    /// byte for byte.
+    #[test]
+    fn earlier_written_file_loads_and_rewrites_byte_identically() {
+        let text = include_str!("../tests/data/checkpoint-v1.json");
+        let checkpoint = CrawlCheckpoint::from_json(text).unwrap();
+        let schema = hdc_types::Schema::builder()
+            .categorical("make", 5)
+            .numeric("price", -50, 199)
+            .build()
+            .unwrap();
+        let plan: Vec<String> = crate::Sharded::plan_oversubscribed(&schema, 2, 2)
+            .iter()
+            .map(crate::ShardSpec::signature)
+            .collect();
+        assert_eq!(checkpoint.plan, plan);
+        assert_eq!(checkpoint.shards.len(), 3);
+        assert_eq!(checkpoint.shards[2].frontier, Some(1));
+        assert_eq!(checkpoint.to_json(), text);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Fuzz-style corruption suite for the vendored checkpoint JSON parser.
+//! Fuzz-style corruption suite for checkpoint files, decoded through the
+//! shared bounded JSON reader (`hdc_types::json`).
 //!
 //! A checkpoint file comes off a disk that may have been half-written by
 //! a dying process, truncated by a full filesystem, or hand-edited. The
@@ -274,21 +275,10 @@ proptest! {
     }
 }
 
-/// The serializer's side of the signature contract: signatures needing
-/// JSON escaping (quotes, backslashes) are refused **loudly** in debug
-/// builds rather than silently corrupting the document — the parser
-/// supports no escapes, so a quietly mis-quoted signature would
-/// truncate or garble every later field.
-#[cfg(debug_assertions)]
-#[test]
-#[should_panic(expected = "shard signatures never need escaping")]
-fn signatures_needing_escapes_are_refused_at_serialization() {
-    let cp = CrawlCheckpoint::new(vec!["with \"quotes\" inside".to_string()]);
-    let _ = cp.to_json();
-}
-
-/// Signatures the crawl actually produces (query display strings, plus
-/// any escape-free unicode) must round-trip exactly.
+/// Signatures round-trip exactly, whatever they contain: the crawl's
+/// real shapes (query display strings, escape-free unicode) and, since
+/// the writer quotes through the shared JSON codec, signatures needing
+/// escapes too. A raw tab is written escaped (`\t`), never raw.
 #[test]
 fn real_signature_shapes_round_trip() {
     let q = Query::new(vec![
@@ -296,9 +286,35 @@ fn real_signature_shapes_round_trip() {
         Predicate::Range { lo: -5, hi: 900 },
         Predicate::Any,
     ]);
-    for sig in [format!("{q}"), "unicode: π ≤ τ".to_string(), "tab\tsig".to_string()] {
+    for sig in [
+        format!("{q}"),
+        "unicode: π ≤ τ".to_string(),
+        "tab\tsig".to_string(),
+        "with \"quotes\" inside".to_string(),
+    ] {
         let cp = CrawlCheckpoint::new(vec![sig]);
-        let parsed = CrawlCheckpoint::from_json(&cp.to_json()).unwrap();
+        let text = cp.to_json();
+        assert!(!text.contains('\t'), "raw tab written: {text:?}");
+        let parsed = CrawlCheckpoint::from_json(&text).unwrap();
         assert_eq!(parsed.plan, cp.plan);
     }
+}
+
+/// A `--resume`/`--checkpoint` file of a million `[` (or any nesting
+/// past the reader's ceiling) is a clean load error, not a stack
+/// overflow that aborts the process.
+#[test]
+fn deep_nesting_is_a_clean_error() {
+    let deep = "[".repeat(1_000_000);
+    assert!(CrawlCheckpoint::from_json(&deep).is_err());
+    let nested_in_shard = format!(
+        r#"{{"format": "hdc-crawl-checkpoint", "version": 1, "plan": [], "shards": [{}]}}"#,
+        "[".repeat(1_000_000)
+    );
+    assert!(CrawlCheckpoint::from_json(&nested_in_shard).is_err());
+
+    let path = std::env::temp_dir().join(format!("hdc-repo-deep-{}.json", std::process::id()));
+    std::fs::write(&path, &deep).unwrap();
+    assert!(JsonFileRepository::new(&path).load().is_err());
+    std::fs::remove_file(&path).ok();
 }

@@ -22,6 +22,9 @@
 //!   bucket ([`bucket`]), and retiring identities after consecutive
 //!   failures.
 //!
+//! Bodies are read by the workspace's one bounded JSON reader,
+//! [`hdc_types::json`], shared with checkpoints and `hdc-coord`.
+//!
 //! # Determinism contract
 //!
 //! The server charges nothing for injected faults and the client
@@ -33,8 +36,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod json;
 
 pub mod bucket;
 pub mod client;

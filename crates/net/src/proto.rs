@@ -11,8 +11,9 @@
 //!
 //! # Tokens
 //!
-//! Values use the checkpoint format's compact tokens: `"c5"` is
-//! categorical value 5, `"i-7"` is numeric value −7. Predicates are
+//! Values use the workspace's one compact token codec
+//! ([`Value::token`]): `"c5"` is categorical value 5, `"i-7"` is numeric
+//! value −7. Predicates are
 //! `"*"` (any), `"=5"` (categorical equality), and `"lo..hi"`
 //! (inclusive numeric range). Schema attributes are
 //! `{"name":…,"cat":size}` or `{"name":…,"min":…,"max":…}`.
@@ -28,7 +29,7 @@
 
 use hdc_types::{AttrKind, Attribute, DbError, Predicate, Query, QueryOutcome, Schema, Tuple, Value};
 
-use crate::json::{self, Json};
+use hdc_types::json::{self, Json};
 
 /// Wire format identifier, checked on both ends.
 pub const FORMAT: &str = "hdc-wire";
@@ -59,23 +60,6 @@ impl From<json::JsonError> for WireError {
 
 fn wire_err(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
-}
-
-// ---------------------------------------------------------------- values
-
-fn parse_value(tok: &str) -> Result<Value, WireError> {
-    let rest = tok.get(1..).unwrap_or("");
-    match tok.as_bytes().first() {
-        Some(b'c') => rest
-            .parse::<u32>()
-            .map(Value::Cat)
-            .map_err(|_| wire_err(format!("bad categorical token {tok:?}"))),
-        Some(b'i') => rest
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|_| wire_err(format!("bad numeric token {tok:?}"))),
-        _ => Err(wire_err(format!("bad value token {tok:?}"))),
-    }
 }
 
 // ------------------------------------------------------------ predicates
@@ -165,26 +149,13 @@ pub fn parse_batch_body(body: &str) -> Result<Vec<Query>, WireError> {
 
 // -------------------------------------------------------------- outcomes
 
-/// Appends one value token (`"c5"` / `"i-7"`) to `out`. Tokens contain
-/// only `[ci0-9-]`, so no JSON escaping is ever needed.
-fn push_value_token(out: &mut String, v: Value) {
-    use std::fmt::Write as _;
-    match v {
-        Value::Cat(c) => {
-            let _ = write!(out, "\"c{c}\"");
-        }
-        Value::Int(i) => {
-            let _ = write!(out, "\"i{i}\"");
-        }
-    }
-}
-
 /// Appends a serialized outcome to `out` in canonical form (`overflow`
 /// first, no whitespace) — the form [`outcome_fast`] parses without
 /// building a tree. Outcome bodies are the hot path of the wire (every
 /// batch response carries up to `batch × k` tuples), so both directions
 /// avoid per-token allocation.
 fn push_outcome_json(out: &mut String, o: &QueryOutcome) {
+    use std::fmt::Write as _;
     out.push_str("{\"overflow\":");
     out.push_str(if o.overflow { "true" } else { "false" });
     out.push_str(",\"tuples\":[");
@@ -197,7 +168,8 @@ fn push_outcome_json(out: &mut String, o: &QueryOutcome) {
             if j > 0 {
                 out.push(',');
             }
-            push_value_token(out, v);
+            // Tokens never need JSON escaping.
+            let _ = write!(out, "\"{}\"", v.token());
         }
         out.push(']');
     }
@@ -236,13 +208,18 @@ pub fn batch_outcome_body(outs: &[QueryOutcome]) -> String {
 // the caller falls back to the generic tree parser, so tolerance is
 // unchanged — canonical bodies just skip the per-token allocations.
 struct Cur<'a> {
+    s: &'a str,
     b: &'a [u8],
     p: usize,
 }
 
 impl<'a> Cur<'a> {
     fn new(s: &'a str) -> Self {
-        Cur { b: s.as_bytes(), p: 0 }
+        Cur {
+            s,
+            b: s.as_bytes(),
+            p: 0,
+        }
     }
 
     fn eat(&mut self, lit: &[u8]) -> bool {
@@ -253,50 +230,17 @@ impl<'a> Cur<'a> {
             false
         }
     }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.p).copied()
-    }
-
-    /// A decimal integer; bails (to the fallback) on overflow.
-    fn int(&mut self) -> Option<i64> {
-        let neg = self.peek() == Some(b'-');
-        if neg {
-            self.p += 1;
-        }
-        let start = self.p;
-        let mut val: i64 = 0;
-        while let Some(c @ b'0'..=b'9') = self.peek() {
-            val = val.checked_mul(10)?.checked_add(i64::from(c - b'0'))?;
-            self.p += 1;
-        }
-        if self.p == start {
-            return None;
-        }
-        Some(if neg { -val } else { val })
-    }
 }
 
+/// One quoted value token, decoded by the shared codec.
 fn value_fast(cur: &mut Cur) -> Option<Value> {
     if !cur.eat(b"\"") {
         return None;
     }
-    let v = match cur.peek()? {
-        b'c' => {
-            cur.p += 1;
-            let d = cur.int()?;
-            Value::Cat(u32::try_from(d).ok()?)
-        }
-        b'i' => {
-            cur.p += 1;
-            Value::Int(cur.int()?)
-        }
-        _ => return None,
-    };
-    if !cur.eat(b"\"") {
-        return None;
-    }
-    Some(v)
+    let start = cur.p;
+    let len = cur.b[start..].iter().position(|&c| c == b'"')?;
+    cur.p = start + len + 1;
+    Value::from_token(cur.s.get(start..start + len)?)
 }
 
 fn outcome_fast(cur: &mut Cur) -> Option<QueryOutcome> {
@@ -365,8 +309,8 @@ fn outcome_from_json(v: &Json) -> Result<QueryOutcome, WireError> {
                 .iter()
                 .map(|t| {
                     t.as_str()
-                        .ok_or_else(|| wire_err("value token must be a string"))
-                        .and_then(parse_value)
+                        .and_then(Value::from_token)
+                        .ok_or_else(|| wire_err(format!("bad value token {t:?}")))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Tuple::new(vals))
@@ -574,13 +518,10 @@ pub fn parse_error_body(status: u16, body: &str) -> DbError {
         match v.get("kind").and_then(Json::as_str) {
             Some("budget") => {
                 if let (Some(issued), Some(limit)) = (
-                    v.get("issued").and_then(Json::as_int),
-                    v.get("limit").and_then(Json::as_int),
+                    v.get("issued").and_then(Json::as_u64),
+                    v.get("limit").and_then(Json::as_u64),
                 ) {
-                    if let (Ok(issued), Ok(limit)) = (u64::try_from(issued), u64::try_from(limit))
-                    {
-                        return DbError::BudgetExhausted { issued, limit };
-                    }
+                    return DbError::BudgetExhausted { issued, limit };
                 }
                 return DbError::Backend(msg);
             }

@@ -393,7 +393,7 @@ fn protocol_error(e: &dyn std::fmt::Display) -> Response {
         400,
         format!(
             "{{\"kind\":\"protocol\",\"error\":{}}}",
-            crate::json::quote(&e.to_string())
+            hdc_types::json::quote(&e.to_string())
         )
         .into_bytes(),
     )

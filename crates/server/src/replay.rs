@@ -89,10 +89,7 @@ impl QueryCache {
             for t in &out.tuples {
                 write!(w, "T")?;
                 for v in t.iter() {
-                    match v {
-                        Value::Int(x) => write!(w, " i{x}")?,
-                        Value::Cat(c) => write!(w, " c{c}")?,
-                    }
+                    write!(w, " {}", v.token())?;
                 }
                 writeln!(w)?;
             }
@@ -117,7 +114,9 @@ impl QueryCache {
             if line.is_empty() {
                 continue;
             }
-            let (tag, rest) = line.split_at(1);
+            let Some((tag, rest)) = line.split_at_checked(1) else {
+                return Err(bad(&format!("unknown record {line:?}")));
+            };
             let rest = rest.trim_start();
             match tag {
                 "Q" => {
@@ -143,9 +142,11 @@ impl QueryCache {
                     let entry = current.as_mut().ok_or_else(|| bad("T before Q"))?;
                     let values = rest
                         .split_whitespace()
-                        .map(parse_value)
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(|e| bad(&e))?;
+                        .map(|tok| {
+                            Value::from_token(tok)
+                                .ok_or_else(|| bad(&format!("bad value token {tok:?}")))
+                        })
+                        .collect::<Result<Vec<_>, _>>()?;
                     entry.2.push(Tuple::new(values));
                 }
                 other => return Err(bad(&format!("unknown record tag {other:?}"))),
@@ -162,7 +163,9 @@ fn parse_pred(token: &str) -> Result<Predicate, String> {
     if token == "*" {
         return Ok(Predicate::Any);
     }
-    let (kind, rest) = token.split_at(1);
+    let (kind, rest) = token
+        .split_at_checked(1)
+        .ok_or_else(|| format!("unknown predicate token {token:?}"))?;
     match kind {
         "e" => rest
             .parse()
@@ -182,21 +185,6 @@ fn parse_pred(token: &str) -> Result<Predicate, String> {
             })
         }
         _ => Err(format!("unknown predicate token {token:?}")),
-    }
-}
-
-fn parse_value(token: &str) -> Result<Value, String> {
-    let (kind, rest) = token.split_at(1);
-    match kind {
-        "i" => rest
-            .parse()
-            .map(Value::Int)
-            .map_err(|e| format!("bad Int {token:?}: {e}")),
-        "c" => rest
-            .parse()
-            .map(Value::Cat)
-            .map_err(|e| format!("bad Cat {token:?}: {e}")),
-        _ => Err(format!("unknown value token {token:?}")),
     }
 }
 
@@ -458,6 +446,12 @@ mod tests {
             "hdc-query-cache v1\nO 1",
             "hdc-query-cache v1\nQ zz",
             "hdc-query-cache v1\nQ *\nO 7",
+            // Non-ASCII first bytes: split points that are not char
+            // boundaries must be errors, not panics.
+            "hdc-query-cache v1\né",
+            "hdc-query-cache v1\nQ é1",
+            "hdc-query-cache v1\nQ *\nO 0\nT é1",
+            "hdc-query-cache v1\nQ *\nO 0\nT c+1",
         ] {
             let r = std::io::BufReader::new(garbage.as_bytes());
             assert!(QueryCache::load(r).is_err(), "accepted {garbage:?}");

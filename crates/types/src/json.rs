@@ -1,13 +1,15 @@
-//! Vendored minimal JSON for the wire protocol (the container has no
-//! registry access, so no serde).
+//! Minimal JSON for every wire and disk format in the workspace (the
+//! build has no registry access, so no serde).
 //!
-//! Sibling of the checkpoint parser in `hdc-core::repository`, but
-//! hardened for *untrusted* input: this one accepts string escapes
-//! (`\"`, `\\`, `\/`, `\n`, `\t`, `\r`, `\b`, `\f`, `\uXXXX`), enforces
-//! a nesting-depth ceiling, and rejects everything else — floats,
-//! unpaired surrogates, trailing garbage — with a clean [`JsonError`],
-//! never a panic. The corruption suite (`protocol_fuzz`) feeds it
-//! truncated and garbage bodies directly.
+//! One reader serves the data plane (`hdc-net`), the coordination
+//! protocol (`hdc-coord`), and checkpoint files (`hdc-core`). It is
+//! hardened for *untrusted* input: it accepts string escapes (`\"`,
+//! `\\`, `\/`, `\n`, `\t`, `\r`, `\b`, `\f`, `\uXXXX`), enforces a
+//! nesting-depth ceiling of [`MAX_DEPTH`], and rejects everything else
+//! (floats, unpaired surrogates, trailing garbage) with a clean
+//! [`JsonError`], never a panic or a stack overflow. The corruption
+//! suites (`protocol_fuzz`, `repository_fuzz`, `hostile`) feed it
+//! truncated, garbage, and deeply nested documents directly.
 
 use std::fmt;
 
@@ -28,15 +30,15 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// A parsed JSON value. Numbers are integers only — the protocol never
-/// sends floats, so a fraction or exponent is a parse error.
+/// A parsed JSON value. Numbers are integers only — no format in the
+/// workspace writes floats, so a fraction or exponent is a parse error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// An integer (i128 covers every u64/i64 the protocol uses).
+    /// An integer (i128 covers every u64/i64 the formats use).
     Int(i128),
     /// A string, unescaped.
     Str(String),
@@ -61,6 +63,11 @@ impl Json {
             Json::Int(v) => Some(*v),
             _ => None,
         }
+    }
+
+    /// The value as a `u64`, if it is an integer in range.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_int().and_then(|v| u64::try_from(v).ok())
     }
 
     /// The value as a string slice, if it is one.
@@ -88,14 +95,19 @@ impl Json {
     }
 }
 
-/// Maximum nesting depth: far above anything the protocol produces,
-/// far below anything that could exhaust the stack.
-const MAX_DEPTH: usize = 32;
+/// Maximum nesting depth: far above anything the formats produce (a
+/// checkpoint embedded in a coordinator message nests six deep), far
+/// below anything that could exhaust the stack.
+pub const MAX_DEPTH: usize = 32;
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text: input,
+        bytes,
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -106,6 +118,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -178,9 +191,8 @@ impl Parser<'_> {
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return Err(self.err("floats not supported by this protocol"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits and minus are ASCII");
-        text.parse::<i128>()
+        self.text[start..self.pos]
+            .parse::<i128>()
             .map(Json::Int)
             .map_err(|_| self.err("integer overflow"))
     }
@@ -189,13 +201,32 @@ impl Parser<'_> {
         self.expect(b'"', "expected string")?;
         let mut out = String::new();
         loop {
+            // A run of plain bytes ends only at an ASCII delimiter, never
+            // inside a multi-byte scalar, so it slices the input `str`.
+            let start = self.pos;
+            while let Some(c) = self.peek() {
+                if c == b'"' || c == b'\\' || c < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("bad utf-8"))?;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
+                    // An escape-free string is copied once.
+                    if out.is_empty() {
+                        return Ok(run.to_owned());
+                    }
+                    out.push_str(run);
                     return Ok(out);
                 }
                 Some(b'\\') => {
+                    out.push_str(run);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -209,8 +240,8 @@ impl Parser<'_> {
                         Some(b'u') => {
                             self.pos += 1;
                             let code = self.hex4()?;
-                            // Reject surrogates outright: the protocol
-                            // only emits BMP escapes for control bytes.
+                            // Reject surrogates outright: the writers
+                            // only emit BMP escapes for control bytes.
                             let ch = char::from_u32(u32::from(code))
                                 .ok_or_else(|| self.err("escaped surrogate"))?;
                             out.push(ch);
@@ -220,25 +251,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control byte in string")),
-                Some(_) => {
-                    // Copy the whole run of plain bytes at once. The
-                    // run ends only at ASCII delimiters (quote,
-                    // backslash, control), which cannot appear inside a
-                    // multi-byte scalar, so the span stays on UTF-8
-                    // boundaries; the input arrived as a &str, so the
-                    // bytes themselves are already valid.
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'"' || c == b'\\' || c < 0x20 {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("bad utf-8"))?;
-                    out.push_str(s);
-                }
+                Some(_) => return Err(self.err("raw control byte in string")),
             }
         }
     }
@@ -333,10 +346,17 @@ mod tests {
 
     #[test]
     fn round_trips_escapes() {
-        let original = "a\"b\\c\nd\te\u{1}f/€";
-        let quoted = quote(original);
-        let back = parse(&quoted).unwrap();
-        assert_eq!(back.as_str(), Some(original));
+        for original in [
+            "a\"b\\c\nd\te\u{1}f/€",
+            "",
+            "plain",
+            "\\lead",
+            "trail\\",
+            "π\tτ",
+        ] {
+            let back = parse(&quote(original)).unwrap();
+            assert_eq!(back.as_str(), Some(original));
+        }
     }
 
     #[test]
@@ -379,5 +399,14 @@ mod tests {
     fn depth_limit_is_an_error_not_a_crash() {
         let deep = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(parse(&deep).is_err());
+        // Exactly at the ceiling still parses; one past it does not.
+        let at = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse(&at).is_ok());
+        let past = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
+        assert_eq!(parse(&past).unwrap_err().reason, "nesting too deep");
+        // An unterminated run of openers (the shape of a hostile body)
+        // stops at the ceiling, not at the end of the input.
+        let err = parse(&"[".repeat(2_000_000)).unwrap_err();
+        assert!(err.at <= MAX_DEPTH + 1, "{err}");
     }
 }

@@ -17,6 +17,9 @@
 //!   acquisition happens: a query either *resolves* (its entire result is
 //!   returned) or *overflows* (only `k` tuples plus an overflow signal).
 //!
+//! Every serialized format shares one bounded JSON reader, [`json`],
+//! and one value-token codec, [`Value::token`] / [`Value::from_token`].
+//!
 //! Crawling algorithms live in `hdc-core`; the server simulator that
 //! faithfully implements the adversarial top-k semantics lives in
 //! `hdc-server`. Both speak only the types defined here, so the algorithms
@@ -30,6 +33,7 @@ pub mod budget;
 pub mod error;
 pub mod fault;
 pub mod interface;
+pub mod json;
 pub mod predicate;
 pub mod query;
 pub mod schema;

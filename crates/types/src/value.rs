@@ -70,6 +70,44 @@ impl Value {
     pub fn is_cat(self) -> bool {
         matches!(self, Value::Cat(_))
     }
+
+    /// The compact token every serialized format writes for this value
+    /// (checkpoints, the wire protocol, the replay cache): `c5` is
+    /// categorical 5, `i-7` is numeric −7. Tokens contain only
+    /// `[ci0-9-]`, so the JSON formats quote them without escaping.
+    #[inline]
+    pub fn token(self) -> ValueToken {
+        ValueToken(self)
+    }
+
+    /// Parses a [`Value::token`]: a kind letter, an optional minus
+    /// (numeric only), then decimal digits in the kind's range. Anything
+    /// else, including a `+` sign or an empty number, is `None`.
+    pub fn from_token(token: &str) -> Option<Value> {
+        let number = token.get(1..)?;
+        let digits = number.strip_prefix('-').unwrap_or(number);
+        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        match token.as_bytes()[0] {
+            b'c' => number.parse().ok().map(Value::Cat),
+            b'i' => number.parse().ok().map(Value::Int),
+            _ => None,
+        }
+    }
+}
+
+/// Display adapter for [`Value::token`].
+#[derive(Clone, Copy, Debug)]
+pub struct ValueToken(Value);
+
+impl fmt::Display for ValueToken {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Value::Cat(c) => write!(f, "c{c}"),
+            Value::Int(x) => write!(f, "i{x}"),
+        }
+    }
 }
 
 impl fmt::Display for Value {
@@ -138,6 +176,44 @@ mod tests {
     fn display() {
         assert_eq!(Value::Int(-3).to_string(), "-3");
         assert_eq!(Value::Cat(4).to_string(), "#4");
+    }
+
+    #[test]
+    fn tokens_round_trip_at_the_range_edges() {
+        for v in [
+            Value::Cat(0),
+            Value::Cat(u32::MAX),
+            Value::Int(0),
+            Value::Int(-7),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+        ] {
+            assert_eq!(Value::from_token(&v.token().to_string()), Some(v));
+        }
+        assert_eq!(Value::Cat(5).token().to_string(), "c5");
+        assert_eq!(Value::Int(-7).token().to_string(), "i-7");
+    }
+
+    #[test]
+    fn malformed_tokens_are_none() {
+        for bad in [
+            "",
+            "c",
+            "i",
+            "i-",
+            "c-1",
+            "c+1",
+            "i+1",
+            "x5",
+            "c4294967296",
+            "i9223372036854775808",
+            "c 1",
+            "c1 ",
+            "é1",
+            "5",
+        ] {
+            assert_eq!(Value::from_token(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

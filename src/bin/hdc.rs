@@ -355,6 +355,20 @@ impl Flags {
         }
     }
 
+    /// `Flags::parse` for a value that must be at least `min` (a zero
+    /// `--k` would otherwise reach the server's constructor assert).
+    fn parse_min<T>(&self, name: &str, default: T, min: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + Display,
+        T::Err: Display,
+    {
+        let v = self.parse(name, default)?;
+        if v < min {
+            return Err(format!("--{name} must be ≥ {min}"));
+        }
+        Ok(v)
+    }
+
     fn require(&self, name: &str) -> Result<&str, String> {
         self.get(name)
             .ok_or_else(|| format!("--{name} is required"))
@@ -477,7 +491,7 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
     }
     let dataset = flags.require("dataset")?.to_string();
     let algo = flags.require("algo")?.to_string();
-    let k: usize = flags.parse("k", 256)?;
+    let k: usize = flags.parse_min("k", 256, 1)?;
     let seed: u64 = flags.parse("seed", 42)?;
     let scale: u32 = flags.parse("scale", 100)?;
     let sessions: usize = flags.parse("sessions", 1)?;
@@ -742,7 +756,7 @@ fn cmd_barrier(flags: &Flags) -> Result<(), String> {
         return cmd_barrier_connect(flags);
     }
     let dataset = flags.require("dataset")?.to_string();
-    let k: usize = flags.parse("k", 256)?;
+    let k: usize = flags.parse_min("k", 256, 1)?;
     let seed: u64 = flags.parse("seed", 42)?;
     let scale: u32 = flags.parse("scale", 100)?;
     let sessions: usize = flags.parse("sessions", 1)?;
@@ -1051,7 +1065,7 @@ fn cmd_barrier_connect(flags: &Flags) -> Result<(), String> {
 /// `hdc stop` (or a client's `POST /shutdown`) drains it.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let dataset = flags.require("dataset")?.to_string();
-    let k: usize = flags.parse("k", 256)?;
+    let k: usize = flags.parse_min("k", 256, 1)?;
     let seed: u64 = flags.parse("seed", 42)?;
     let scale: u32 = flags.parse("scale", 100)?;
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7171");
@@ -1426,7 +1440,11 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         .get("ks")
         .unwrap_or("64,128,256,512,1024")
         .split(',')
-        .map(|s| s.parse().map_err(|e| format!("bad k {s:?}: {e}")))
+        .map(|s| match s.parse() {
+            Ok(0) => Err("--ks values must be ≥ 1".to_string()),
+            Ok(k) => Ok(k),
+            Err(e) => Err(format!("bad k {s:?}: {e}")),
+        })
         .collect::<Result<_, String>>()?;
     let seed: u64 = flags.parse("seed", 42)?;
     let scale: u32 = flags.parse("scale", 100)?;
@@ -1476,9 +1494,9 @@ fn cmd_hard(args: &[String]) -> Result<(), String> {
     let seed: u64 = flags.parse("seed", 42)?;
     match kind {
         "numeric" => {
-            let k: usize = flags.parse("k", 16)?;
-            let d: usize = flags.parse("d", 4)?;
-            let m: usize = flags.parse("m", 100)?;
+            let k: usize = flags.parse_min("k", 16, 1)?;
+            let d: usize = flags.parse_min("d", 4, 1)?;
+            let m: usize = flags.parse_min("m", 100, 1)?;
             let ds = hard::numeric_hard(k, d, m);
             let mut db = HiddenDbServer::new(
                 ds.schema.clone(),
@@ -1500,8 +1518,8 @@ fn cmd_hard(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "categorical" => {
-            let k: usize = flags.parse("k", 6)?;
-            let u: u32 = flags.parse("u", 6)?;
+            let k: usize = flags.parse_min("k", 6, 1)?;
+            let u: u32 = flags.parse_min("u", 6, 2)?;
             let ds = hard::categorical_hard(k, u);
             let d = 2 * k;
             let mut db = HiddenDbServer::new(
